@@ -20,7 +20,11 @@ regimes.  This package turns those cross-product comparisons into one-liners:
   validates up front and names the offending field otherwise);
 * :mod:`repro.exp.engine` — :func:`run_sweep` fans the trials out across
   worker processes (serial fallback included) with per-trial derived seeding,
-  so parallel and serial sweeps produce byte-identical aggregates;
+  so parallel and serial sweeps produce byte-identical aggregates.  Every
+  sweep takes one path: a plan of contiguous trial-index chunks (one trial
+  per chunk in-process, about four chunks per worker otherwise, capped at
+  64 trials), an executor (an in-process ``map`` or a pool's ``imap``) and
+  a sink (the result list, a custom reducer or a :class:`SweepAggregate`);
 * :mod:`repro.exp.results` — :class:`SweepResult` aggregates the structured
   per-trial measurements into table rows for :mod:`repro.analysis`;
   :class:`SweepAggregate` is the bounded-memory counterpart produced by
@@ -41,9 +45,9 @@ Two execution shapes:
 Aggregate mode is also the *fast* path: it defaults to
 ``trace_level="counters"`` (the scheduler maintains running tallies instead
 of allocating one ``MessageRecord`` per message; see :mod:`repro.sim.trace`)
-and, in parallel runs, to ``fold="chunk"`` (each worker folds its contiguous
-trial chunk into partial accumulators and ships one bundle per chunk instead
-of one result per trial).  Both knobs are overridable per sweep and neither
+and, in parallel runs, to ``fold="chunk"`` (each worker folds its plan
+chunk into partial accumulators and ships one bundle per chunk instead of
+the chunk's TrialResults).  Both knobs are overridable per sweep and neither
 changes a single output byte: trace levels, fold strategies and worker
 counts all produce identical aggregate fingerprints.
 

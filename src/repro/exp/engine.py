@@ -23,10 +23,16 @@ Design constraints, in order:
    front and names the offending grid field rather than letting the pool
    fail with an anonymous ``PicklingError``.
 
-3. **Serial fallback.**  Where no usable start method remains (no ``fork``
-   and a spec that is not spawn-safe) or the sweep is too small to amortise
-   worker start-up, the engine runs the same trial loop in-process.
-   ``SweepResult.meta["mode"]`` records which path ran.
+3. **One execution path: plan x executor x sink.**  Every sweep splits its
+   trial list into contiguous trial-index chunks under one size rule — one
+   trial per chunk in-process, otherwise about four chunks per worker,
+   capped at ``_MAX_STREAM_CHUNK`` — and hands the chunk indices to an
+   executor: a pool's ``imap`` (``chunksize=1``) or, where no usable start
+   method remains (no ``fork`` and a spec that is not spawn-safe) or the
+   sweep is too small to amortise worker start-up, an in-process ``map``.
+   One loop consumes the completed chunks in chunk order and feeds the
+   sink (the result list, a custom reducer, or a ``SweepAggregate``);
+   ``SweepResult.meta["mode"]`` records which executor ran.
 
 4. **Bounded-memory aggregation.**  ``mode="aggregate"`` (or a custom
    ``reducer=``) streams results instead of collecting them: each
@@ -43,16 +49,16 @@ Design constraints, in order:
    measurement records, orders of magnitude heavier, that streaming never
    holds.
 
-5. **Worker-side chunk folds.**  In aggregate mode with the default
-   :class:`~repro.exp.results.SweepAggregate` sink, parallel sweeps default
-   to ``fold="chunk"``: each worker folds its contiguous trial-index chunk
-   into a *partial* accumulator set and ships one accumulator bundle per
-   chunk back to the parent, which merges the bundles in chunk (= trial
-   index) order.  IPC drops from one pickled TrialResult per trial to one
-   small bundle per chunk, and because every accumulator statistic merges
-   exactly (no float-sum reordering), the chunked fingerprints match the
-   per-trial fold — and the in-memory path — byte for byte at any worker
-   count.  ``fold="trial"`` forces the per-trial stream (required for, and
+5. **Worker-side chunk folds.**  A chunk's worker returns either the
+   chunk's TrialResults in index order or, for a pooled aggregate-mode sweep
+   with the default :class:`~repro.exp.results.SweepAggregate` sink
+   (``fold="auto"`` or ``"chunk"``), the chunk folded into one *partial*
+   accumulator bundle, which the parent merges in chunk (= trial index)
+   order.  IPC drops from one pickled TrialResult per trial to one small
+   bundle per chunk, and because every accumulator statistic merges exactly
+   (no float-sum reordering), the chunked fingerprints match the per-trial
+   fold — and the in-memory path — byte for byte at any worker count.
+   ``fold="trial"`` ships the TrialResults instead (required for, and
    implied by, custom reducers, which only expose ``fold``).
 
 6. **Trace levels.**  Aggregate-mode sweeps only consume the aggregate
@@ -90,6 +96,7 @@ Design constraints, in order:
 from __future__ import annotations
 
 import contextlib
+import functools
 import multiprocessing
 import os
 import pickle
@@ -113,12 +120,12 @@ Collector = Callable[[TrialSpec, Any], Dict[str, Any]]
 #: below this many trials a pool costs more than it saves
 _MIN_TRIALS_FOR_POOL = 4
 
-# ships (trials, collector, trace levels, chunk size) to forked workers by
-# memory inheritance
+# ships (trials, collector, trace levels, chunk plan) to forked workers by
+# memory inheritance; the in-process executor borrows the same slots
 _WORKER_TRIALS: List[TrialSpec] = []
 _WORKER_COLLECTOR: Optional[Collector] = None
 _WORKER_LEVELS: tuple = (None, "full")  # (explicit override, sweep default)
-_WORKER_CHUNK = 1
+_WORKER_CHUNK: tuple = (1, False, False)  # (size, fold a partial, profile chunk)
 
 
 class _CellRuntime:
@@ -365,7 +372,7 @@ def _pool_init(
     trials: List[TrialSpec],
     collector: Optional[Collector],
     levels: tuple = (None, "full"),
-    chunk: int = 1,
+    chunk: tuple = (1, False, False),
 ) -> None:
     global _WORKER_TRIALS, _WORKER_COLLECTOR, _WORKER_LEVELS, _WORKER_CHUNK
     _WORKER_TRIALS = trials
@@ -436,31 +443,28 @@ def _emit_progress(
     )
 
 
-def _run_chunk(chunk_index: int) -> SweepAggregate:
-    """Fold one contiguous trial-index chunk into a partial aggregate.
+def _run_chunk(chunk_index: int) -> Union[SweepAggregate, List[TrialResult]]:
+    """Run one contiguous trial-index chunk and return it for the sink.
 
-    Runs inside a worker: the chunk ``[start, stop)`` is folded in index
-    order into a fresh :class:`SweepAggregate`, and the whole bundle — a few
-    cell accumulators, not per-trial records — is the only thing shipped back
-    over the result queue.  The parent merges bundles in chunk order, which
-    (with order-independent accumulators) reproduces the per-trial fold
-    byte for byte.
+    The chunk ``[start, stop)`` runs in index order.  With chunk folds it is
+    folded into a fresh :class:`SweepAggregate`, and that bundle — a few
+    cell accumulators, not per-trial records — is the only thing shipped
+    back over the result queue; the parent merges bundles in chunk order,
+    which (with order-independent accumulators) reproduces the per-trial
+    fold byte for byte.  Otherwise the chunk's TrialResults come back as a
+    list.  Pool workers profile each chunk; the in-process executor
+    profiles the whole sweep instead, since cProfile does not nest.
     """
-    start = chunk_index * _WORKER_CHUNK
-    stop = min(start + _WORKER_CHUNK, len(_WORKER_TRIALS))
-    override, default = _WORKER_LEVELS
-    partial = SweepAggregate()
-    with _maybe_profiled(f"chunk{chunk_index:04d}"):
+    size, partial, profile = _WORKER_CHUNK
+    start = chunk_index * size
+    stop = min(start + size, len(_WORKER_TRIALS))
+    out = SweepAggregate() if partial else []
+    fold = out.fold if partial else out.append
+    label = f"chunk{chunk_index:04d}"
+    with _maybe_profiled(label) if profile else contextlib.nullcontext():
         for index in range(start, stop):
-            trial = _WORKER_TRIALS[index]
-            partial.fold(
-                run_trial(
-                    trial,
-                    _WORKER_COLLECTOR,
-                    trace_level=_effective_level(trial, override, default),
-                )
-            )
-    return partial
+            fold(_run_index(index))
+    return out
 
 
 def _resolve_workers(workers: Optional[int], n_trials: int) -> int:
@@ -605,9 +609,8 @@ def _resolve_start_method(
     return None  # pragma: no cover - platforms with neither method
 
 
-#: cap on the pool chunk size in streaming mode, so a worker never buffers an
-#: unbounded slice of results (or folds an unbounded chunk) before shipping
-#: back to the parent
+#: cap on the pool chunk size, so a worker never buffers an unbounded slice
+#: of results (or folds an unbounded chunk) before shipping back to the parent
 _MAX_STREAM_CHUNK = 64
 
 #: the modes run_trials/run_sweep accept
@@ -695,231 +698,68 @@ def run_trials(
     if use_pool:
         meta["start_method"] = method
 
-    if not streaming:
-        # the pool ships work in imap chunks of this size; the serial path is
-        # chunk 1 (every trial is its own chunk).  chunks_total must reflect
-        # the real granularity — results arrive in bursts of `chunk`, so
-        # claiming len(trials) chunks would make queue_depth/chunks_done lie.
-        chunk = max(1, len(trials) // (n_workers * 4)) if use_pool else 1
-        n_chunks = (len(trials) + chunk - 1) // chunk
-        _emit_progress(
-            progress,
-            "start",
-            trials_total=len(trials),
-            trials_done=0,
-            chunks_total=n_chunks,
-            chunks_done=0,
-            workers=meta["workers"],
-            mode=exec_mode,
-            fold="trial",
-        )
-        if use_pool:
-            ctx = multiprocessing.get_context(method)
-            with ctx.Pool(
-                processes=n_workers,
-                initializer=_pool_init,
-                initargs=(trials, collector, levels),
-            ) as pool:
-                if progress is None:
-                    results = pool.map(_run_index, range(len(trials)), chunksize=chunk)
-                else:
-                    # imap yields in submission order, so the result list is
-                    # identical to pool.map's — it just arrives incrementally,
-                    # giving the parent a hook point per completed trial
-                    results = []
-                    for result in pool.imap(
-                        _run_index, range(len(trials)), chunksize=chunk
-                    ):
-                        results.append(result)
-                        done = len(results)
-                        _emit_progress(
-                            progress,
-                            "chunk",
-                            trials_total=len(trials),
-                            trials_done=done,
-                            chunks_total=n_chunks,
-                            # the final (possibly short) chunk completes with
-                            # the last trial; before that, count full chunks
-                            chunks_done=(
-                                n_chunks if done == len(trials) else done // chunk
-                            ),
-                            workers=meta["workers"],
-                            mode=exec_mode,
-                            fold="trial",
-                        )
-        else:
-            results = []
-            with _maybe_profiled("serial"):
-                for t in trials:
-                    results.append(
-                        run_trial(
-                            t, collector, trace_level=_effective_level(t, *levels)
-                        )
-                    )
-                    _emit_progress(
-                        progress,
-                        "chunk",
-                        trials_total=len(trials),
-                        trials_done=len(results),
-                        chunks_total=n_chunks,
-                        chunks_done=len(results),
-                        workers=meta["workers"],
-                        mode=exec_mode,
-                        fold="trial",
-                    )
-        _emit_progress(
-            progress,
-            "summary",
-            trials_total=len(trials),
-            trials_done=len(results),
-            chunks_total=n_chunks,
-            chunks_done=n_chunks if results else 0,
-            workers=meta["workers"],
-            mode=exec_mode,
-            fold="trial",
-        )
-        return SweepResult(trials=results, meta=meta)
-
-    # streaming: per-trial folds stream every TrialResult back and fold it in
-    # trial-index order (imap yields in submission order); chunk folds let
-    # each worker fold its contiguous chunk locally and ship one partial
-    # accumulator bundle per chunk, merged in chunk order — byte-identical
-    # either way because the accumulators are order-independent
-    sink = reducer if reducer is not None else SweepAggregate()
-    chunked = fold != "trial" and reducer is None
-    if use_pool:
-        ctx = multiprocessing.get_context(method)
-        chunk = max(1, min(_MAX_STREAM_CHUNK, len(trials) // (n_workers * 4)))
-        with ctx.Pool(
-            processes=n_workers,
-            initializer=_pool_init,
-            initargs=(trials, collector, levels, chunk),
-        ) as pool:
-            if chunked:
-                n_chunks = (len(trials) + chunk - 1) // chunk
-                _emit_progress(
-                    progress,
-                    "start",
-                    trials_total=len(trials),
-                    trials_done=0,
-                    chunks_total=n_chunks,
-                    chunks_done=0,
-                    workers=meta["workers"],
-                    mode=exec_mode,
-                    fold="chunk",
-                )
-                done = 0
-                for partial in pool.imap(_run_chunk, range(n_chunks), chunksize=1):
-                    sink.merge(partial)
-                    done += 1
-                    _emit_progress(
-                        progress,
-                        "chunk",
-                        trials_total=len(trials),
-                        trials_done=min(done * chunk, len(trials)),
-                        chunks_total=n_chunks,
-                        chunks_done=done,
-                        workers=meta["workers"],
-                        mode=exec_mode,
-                        fold="chunk",
-                    )
-                _emit_progress(
-                    progress,
-                    "summary",
-                    trials_total=len(trials),
-                    trials_done=len(trials),
-                    chunks_total=n_chunks,
-                    chunks_done=done,
-                    workers=meta["workers"],
-                    mode=exec_mode,
-                    fold="chunk",
-                )
-                meta["fold"] = "chunk"
-                meta["chunk_size"] = chunk
-                meta["chunks"] = n_chunks
-            else:
-                _emit_progress(
-                    progress,
-                    "start",
-                    trials_total=len(trials),
-                    trials_done=0,
-                    chunks_total=len(trials),
-                    chunks_done=0,
-                    workers=meta["workers"],
-                    mode=exec_mode,
-                    fold="trial",
-                )
-                done = 0
-                for result in pool.imap(_run_index, range(len(trials)), chunksize=chunk):
-                    sink.fold(result)
-                    done += 1
-                    _emit_progress(
-                        progress,
-                        "chunk",
-                        trials_total=len(trials),
-                        trials_done=done,
-                        chunks_total=len(trials),
-                        chunks_done=done,
-                        workers=meta["workers"],
-                        mode=exec_mode,
-                        fold="trial",
-                    )
-                _emit_progress(
-                    progress,
-                    "summary",
-                    trials_total=len(trials),
-                    trials_done=done,
-                    chunks_total=len(trials),
-                    chunks_done=done,
-                    workers=meta["workers"],
-                    mode=exec_mode,
-                    fold="trial",
-                )
-                meta["fold"] = "trial"
+    # the plan: contiguous trial-index chunks under one size rule; chunk
+    # folds only pay where a worker has result IPC to cut
+    size = (
+        max(1, min(_MAX_STREAM_CHUNK, len(trials) // (n_workers * 4)))
+        if use_pool
+        else 1
+    )
+    n_chunks = -(-len(trials) // size)
+    chunked = use_pool and reducer is None and streaming and fold != "trial"
+    # the sink: the result list, a custom reducer, or a SweepAggregate
+    if streaming:
+        sink = reducer if reducer is not None else SweepAggregate()
+        fold_one = sink.fold
     else:
-        _emit_progress(
-            progress,
-            "start",
-            trials_total=len(trials),
-            trials_done=0,
-            chunks_total=len(trials),
-            chunks_done=0,
-            workers=meta["workers"],
-            mode=exec_mode,
-            fold="trial",
-        )
-        done = 0
-        with _maybe_profiled("serial"):
-            for trial in trials:
-                sink.fold(
-                    run_trial(
-                        trial, collector, trace_level=_effective_level(trial, *levels)
-                    )
+        sink = []
+        fold_one = sink.append
+    emit = functools.partial(
+        _emit_progress,
+        progress,
+        trials_total=len(trials),
+        chunks_total=n_chunks,
+        workers=meta["workers"],
+        mode=exec_mode,
+        fold="chunk" if chunked else "trial",
+    )
+    trials_done = chunks_done = 0
+    emit("start", trials_done=0, chunks_done=0)
+    with contextlib.ExitStack() as stack:
+        # the executor: both yield chunk outputs in chunk (= trial index) order
+        if use_pool:
+            pool = stack.enter_context(
+                multiprocessing.get_context(method).Pool(
+                    processes=n_workers,
+                    initializer=_pool_init,
+                    initargs=(trials, collector, levels, (size, chunked, True)),
                 )
-                done += 1
-                _emit_progress(
-                    progress,
-                    "chunk",
-                    trials_total=len(trials),
-                    trials_done=done,
-                    chunks_total=len(trials),
-                    chunks_done=done,
-                    workers=meta["workers"],
-                    mode=exec_mode,
-                    fold="trial",
-                )
-        _emit_progress(
-            progress,
-            "summary",
-            trials_total=len(trials),
-            trials_done=done,
-            chunks_total=len(trials),
-            chunks_done=done,
-            workers=meta["workers"],
-            mode=exec_mode,
-            fold="trial",
-        )
-        meta["fold"] = "trial"
+            )
+            outputs = pool.imap(_run_chunk, range(n_chunks), chunksize=1)
+        else:
+            # borrow the worker slots for this call only, restoring whatever
+            # an enclosing sweep (e.g. one run by a collector) parked there
+            saved = (_WORKER_TRIALS, _WORKER_COLLECTOR, _WORKER_LEVELS, _WORKER_CHUNK)
+            stack.callback(_pool_init, *saved)
+            _pool_init(trials, collector, levels)
+            stack.enter_context(_maybe_profiled("serial"))
+            outputs = map(_run_chunk, range(n_chunks))
+        for output in outputs:
+            if chunked:
+                sink.merge(output)
+            else:
+                for result in output:
+                    fold_one(result)
+            chunks_done += 1
+            trials_done = min(chunks_done * size, len(trials))
+            emit("chunk", trials_done=trials_done, chunks_done=chunks_done)
+    emit("summary", trials_done=trials_done, chunks_done=chunks_done)
+    if not streaming:
+        return SweepResult(trials=sink, meta=meta)
+    meta["fold"] = "chunk" if chunked else "trial"
+    if chunked:
+        meta["chunk_size"] = size
+        meta["chunks"] = n_chunks
     if hasattr(sink, "meta"):
         sink.meta.update(meta)
     return sink
@@ -979,16 +819,19 @@ def run_sweep(
         combined with such a pin (its failure is captured per trial in
         ``TrialResult.error``, like any simulation failure).
     fold:
-        Streaming fold strategy.  ``"auto"`` (default) uses worker-side
-        chunk folds — one partial accumulator bundle shipped per contiguous
-        trial chunk instead of one TrialResult per trial — whenever the sink
-        is the default :class:`~repro.exp.results.SweepAggregate` and a pool
-        is in use; ``"trial"`` forces per-trial streaming.  ``"chunk"``
-        selects chunk folds for pooled runs and is rejected with a custom
-        reducer (which only exposes per-trial ``fold``); a serial run has no
-        result IPC to cut, so it always folds per trial and records the
-        executed path in ``meta["fold"]``.  Fingerprints are byte-identical
-        across fold strategies and worker counts.
+        What a pooled worker ships per chunk; every sweep runs one plan of
+        contiguous trial-index chunks (one trial each in-process, about four
+        per worker otherwise, capped at 64 trials).  ``"auto"`` (default)
+        ships one partial accumulator bundle per chunk (a chunk fold)
+        whenever the sink is the default
+        :class:`~repro.exp.results.SweepAggregate` and a pool is in use;
+        ``"trial"`` ships the chunk's TrialResults for the parent to fold
+        one by one.  ``"chunk"`` selects chunk folds for pooled runs and is
+        rejected with a custom reducer (which only exposes per-trial
+        ``fold``) or ``mode="full"``; a serial run has no result IPC to cut,
+        so it always folds per trial and records the executed path in
+        ``meta["fold"]``.  Fingerprints are byte-identical across fold
+        strategies and worker counts.
     start_method:
         Pool start method.  ``None`` (default) keeps the historical
         behaviour: ``fork`` where available, otherwise ``spawn`` when the
@@ -1003,12 +846,14 @@ def run_sweep(
         Live progress stream.  ``None`` (default) observes nothing; a
         callable receives one count-only
         :class:`~repro.obs.progress.ProgressEvent` per phase — ``start``,
-        one ``chunk`` per completed chunk (or trial, on per-trial paths),
-        ``summary`` — always in the parent process, after results crossed
-        the worker queue.  The strings ``"tty"`` and ``"jsonl:PATH"``
-        resolve to the stock reporters in :mod:`repro.obs.progress`.
-        Progress is strictly out of band: results, aggregates and
-        fingerprints are byte-identical with and without it.
+        one ``chunk`` per completed chunk of the plan (one trial per chunk
+        on a serial run), ``summary`` — always in the parent process, after
+        results crossed the worker queue, with ``chunks_total`` the plan's
+        chunk count on every path.  The strings ``"tty"`` and
+        ``"jsonl:PATH"`` resolve to the stock reporters in
+        :mod:`repro.obs.progress`.  Progress is strictly out of band:
+        results, aggregates and fingerprints are byte-identical with and
+        without it.
     """
     trials = grid.trials() if isinstance(grid, GridSpec) else list(grid)
     return run_trials(

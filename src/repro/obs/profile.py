@@ -1,8 +1,8 @@
 """Opt-in sweep profiling: ``REPRO_PROFILE=1`` + ``python -m repro.obs.profile``.
 
 When the environment variable ``REPRO_PROFILE`` is truthy, the sweep engine
-wraps each unit of work — a chunk fold in the streaming path, a serial trial
-loop otherwise — in :class:`cProfile.Profile` and dumps one ``.prof`` file
+wraps each unit of work — each worker chunk on a pooled run, the whole trial
+loop on a serial run — in :class:`cProfile.Profile` and dumps one ``.prof`` file
 per unit into ``REPRO_PROFILE_DIR`` (default ``.repro_profile/``).  Dumping
 happens in whatever process ran the work, so pooled runs produce one file
 per (process, chunk) pair; filenames carry ``os.getpid()`` plus a

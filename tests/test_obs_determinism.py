@@ -156,6 +156,40 @@ class TestHardenedEnvironments:
         assert dumps, "REPRO_PROFILE=1 produced no .prof dumps"
 
 
+    @pytest.mark.parametrize(
+        "workers, kwargs",
+        [
+            (1, {}),
+            (1, {"mode": "aggregate"}),
+            (2, {}),
+            (2, {"mode": "aggregate", "fold": "trial"}),
+            (2, {"mode": "aggregate", "fold": "chunk"}),
+            (2, {"reducer": "aggregate"}),
+        ],
+        ids=[
+            "serial-full", "serial-aggregate", "pooled-full",
+            "pooled-fold-trial", "pooled-fold-chunk", "pooled-custom-reducer",
+        ],
+    )
+    def test_every_engine_path_profiles(self, tmp_path, monkeypatch, workers, kwargs):
+        """Each path dumps .prof files (one per pooled chunk, one per serial
+        sweep) and keeps the unprofiled aggregate fingerprint."""
+        baseline = fingerprint(workers=1)
+        profile_dir = tmp_path / "prof"
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        monkeypatch.setenv("REPRO_PROFILE_DIR", str(profile_dir))
+        result = run_sweep(grid(), workers=workers, **kwargs)
+        if workers > 1:
+            parallel_or_skip(result)
+        assert result.aggregate_fingerprint() == baseline
+        dumps = sorted(p.name for p in profile_dir.glob("*.prof"))
+        assert dumps, "REPRO_PROFILE=1 produced no .prof dumps"
+        if workers == 1:
+            assert len(dumps) == 1 and dumps[0].startswith("serial-")
+        else:
+            assert all(name.startswith("chunk") for name in dumps)
+
+
 class TestSpawnSafeConfiguration:
     def test_progress_event_and_sink_spec_cross_the_boundary(self, tmp_path):
         event = ProgressEvent(

@@ -122,12 +122,21 @@ class TestEngineEmission:
         assert_well_formed_stream(progress.events, 8)
         assert progress.events[-1].fold == "trial"
 
-    def test_parallel_full_mode_reports_honest_chunk_counts(self):
-        # regression: the pooled full-mode path used to advertise
-        # chunks_total == len(trials) while ships happened in imap chunks,
-        # so queue_depth lied about the pool's remaining work
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"mode": "aggregate", "fold": "trial"},
+            {"reducer": "aggregate"},
+        ],
+        ids=["full", "fold-trial", "custom-reducer"],
+    )
+    def test_parallel_full_mode_reports_honest_chunk_counts(self, kwargs):
+        # regression: the pooled full-mode and per-trial streaming paths
+        # used to advertise chunks_total == len(trials) while ships happened
+        # in imap chunks, so queue_depth lied about the pool's remaining work
         progress = CollectingProgress()
-        result = run_sweep(small_grid(16), workers=2, progress=progress)
+        result = run_sweep(small_grid(16), workers=2, progress=progress, **kwargs)
         if result.meta["mode"] != "parallel":
             pytest.skip("fork start method unavailable; parallel path not exercised")
         assert_well_formed_stream(progress.events, 16)
