@@ -10,10 +10,11 @@ four core configurations:
 * ``full+trial`` — today's core at ``trace_level="full"`` with per-trial
   streaming folds (O(1) bookkeeping already in effect).
 * ``counters+trial`` — the counters trace level, still folding per trial.
-* ``counters+heap`` — the aggregate-mode configuration forced onto the
-  binary-heap event queue, isolating what the bucket queue itself buys.
+* ``counters+heap`` — the aggregate-mode configuration on the binary-heap
+  reference scheduler (:class:`repro.sim.reference.HeapScheduler`),
+  isolating what the bucket queue itself buys.
 * ``counters+chunk`` — the aggregate-mode default: counters level, chunk
-  folds, and the bucket queue + batched sampling picked automatically.
+  folds, the bucket queue and batched sampling.
 
 Every configuration must produce the *same* ``SweepAggregate`` fingerprint —
 the fast path buys speed, never different bytes — and the measured rates are
@@ -35,7 +36,7 @@ from repro.analysis import render_table
 from repro.exp import GridSpec, run_sweep
 from repro.sim import runner as sim_runner
 from repro.sim.events import MessageDeliveryEvent
-from repro.sim.runner import Scheduler
+from repro.sim.reference import HeapScheduler
 
 #: (n, f, trials) per measured point — f = n/5 throughout, the resilience
 #: ratio the large-scale grids sweep; INBAC's 2fn-message nice executions
@@ -52,7 +53,7 @@ MIN_HEADLINE_SPEEDUP = 2.0
 DEFAULT_OUT = os.path.join(os.path.dirname(__file__), "BENCH_sweep_throughput.json")
 
 
-class _LegacyScheduler(Scheduler):
+class _LegacyScheduler(HeapScheduler):
     """The pre-fast-path event bookkeeping, reinstated for the baseline.
 
     Faithful to the pre-optimisation core: ``post_message`` records the
@@ -64,10 +65,10 @@ class _LegacyScheduler(Scheduler):
     """
 
     def __init__(self, *args, **kwargs):
+        # the pre-fast-path core had no bucket queue or batched sampling: the
+        # baseline runs on the binary-heap reference and draws every delay
+        # through the network
         kwargs["trace_level"] = "full"
-        # the pre-fast-path core had no bucket queue or batched sampling:
-        # pin the baseline to the binary heap so the comparison stays honest
-        kwargs["event_queue"] = "heap"
         super().__init__(*args, **kwargs)
 
     def post_message(self, src, dst, payload, module="main"):
@@ -131,19 +132,6 @@ class _LegacyScheduler(Scheduler):
         )
 
 
-class _HeapScheduler(Scheduler):
-    """Today's core with the bucket queue disabled (heap forced).
-
-    Differs from the default only in the event-queue choice, so comparing it
-    against ``counters+chunk`` isolates the bucket queue + batched sampling
-    contribution from the earlier bookkeeping optimisations.
-    """
-
-    def __init__(self, *args, **kwargs):
-        kwargs["event_queue"] = "heap"
-        super().__init__(*args, **kwargs)
-
-
 def grid(n: int, f: int, trials: int) -> GridSpec:
     return GridSpec(
         protocols=["INBAC"], systems=[(n, f)], seeds=range(trials), max_time=1000
@@ -187,7 +175,7 @@ VARIANTS = {
     "legacy": ("full", "trial", _LegacyScheduler),
     "full+trial": ("full", "trial", None),
     "counters+trial": ("counters", "trial", None),
-    "counters+heap": ("counters", "chunk", _HeapScheduler),
+    "counters+heap": ("counters", "chunk", HeapScheduler),
     "counters+chunk": ("counters", "chunk", None),
 }
 

@@ -160,10 +160,11 @@ class CrashPoint(ScheduleController):
 
     With ``recover_after`` set, the strategy additionally rejoins the crashed
     process ``recover_after`` phase boundaries after the crash — walking every
-    (crash point, rejoin point) pair of the recovery surface.  The rejoin only
-    applies on runs where the scheduler has a recovery factory installed
-    (cluster runs rebuilding partitions from their WAL); elsewhere the action
-    is ignored deterministically.
+    (crash point, rejoin point) pair of the recovery surface.  Cluster runs
+    rebuild a rejoining partition from its WAL and refuse the client
+    coordinator's rejoin (the scheduler's recovery factory); elsewhere the
+    crashed process object itself rejoins, state intact, through its
+    ``on_recover()``.
     """
 
     strategy_name = "crash-point"

@@ -15,9 +15,14 @@ implements that model as a deterministic discrete-event simulator:
   abstraction used by every protocol implementation.
 * :mod:`repro.sim.trace` — the execution trace (message log, decisions,
   crashes) from which all complexity metrics are computed.
-* :mod:`repro.sim.runner` — the :class:`~repro.sim.runner.Simulation` driver.
+* :mod:`repro.sim.runner` — the scheduler's one event loop and the
+  :class:`~repro.sim.runner.Simulation` driver.
 * :mod:`repro.sim.batch` — batch-oriented execution: the bucket/calendar
-  event queue and vectorised delay sampling behind the fingerprint contract.
+  event queue every run uses and vectorised delay sampling, both behind the
+  fingerprint contract.
+* :mod:`repro.sim.reference` — the binary-heap scheduler, kept only as the
+  oracle the tests and the throughput benchmark compare against (not
+  exported here; nothing in the library builds it).
 """
 
 from repro.sim.batch import BatchedDelaySampler, BucketQueue

@@ -72,7 +72,6 @@ class TimerEvent(Event):
     pid: int = 0
     name: str = "timer"
     generation: int = 0
-    deadline_units: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Two layers:
 
-* :class:`Scheduler` — the generic event loop: an event heap, the network, the
+* :class:`Scheduler` — the generic event loop: an event queue, the network, the
   per-process environments, crash injection and the trace recorder.  The
   database cluster (:mod:`repro.db.cluster`) drives this layer directly.
 * :class:`Simulation` — the protocol-level driver used for all complexity
@@ -31,37 +31,42 @@ the common "stop once every correct process has decided" condition is a
 decremented counter maintained by :meth:`Scheduler.record_decision`, not a
 predicate re-evaluated over every process id on every event.
 
-Event queues
-------------
-The scheduler runs on one of two queues selected by ``event_queue``:
+Event queue
+-----------
+The scheduler runs on one queue, a :class:`~repro.sim.batch.BucketQueue`:
+events grouped into per-timestamp priority FIFOs under a heap of distinct
+timestamps.  It fires events in the strict ``(time, priority, seq)`` order of
+a binary heap for any push pattern and any delay model (the argument is in
+``docs/performance.md``), so traces and fingerprints are those of the heap
+loop the simulator started with.  That loop survives only as the oracle
+:class:`repro.sim.reference.HeapScheduler`; the equivalence batteries in
+``tests/test_scheduler_bucket.py`` pin the two byte for byte.
 
-* ``"heap"`` — the reference binary heap over ``(time, priority, seq)`` keys.
-* ``"bucket"`` — a :class:`~repro.sim.batch.BucketQueue` grouping events into
-  per-timestamp priority FIFOs; exact for any delay model (see
-  ``docs/performance.md``) and much cheaper when many messages share receive
-  times, as under the bounded-delay models.
-* ``"auto"`` (default) — bucket when the delay model declares
-  ``bucketable = True`` and no schedule controller is attached (controllers
-  re-queue deferred events and inspect Event objects, which is heap
-  territory); heap otherwise.
-
-Both queues fire events in the identical strict ``(time, priority, seq)``
-order, so traces and fingerprints are byte-identical between them — pinned by
-the bucket-vs-heap equivalence battery in ``tests/test_scheduler_bucket.py``.
+The hot event kinds ride the FIFOs as bare tuples — deliveries as
+``(src, dst, payload, msg_id, send_time)``, timers as
+``(pid, name, generation)`` — and every other event as an
+:class:`~repro.sim.events.Event`.
 
 Schedule controllers
 --------------------
-By default the scheduler fires events in strict ``(time, priority, seq)``
-order — that path is untouched and fingerprint-guarded.  An optional
-``controller`` (see :mod:`repro.explore`) is consulted once per popped event
-and may perturb the schedule within the paper's admissible-execution space:
+Without a controller, events fire in strict ``(time, priority, seq)`` order.
+An optional ``controller`` (see :mod:`repro.explore`) is offered every popped
+entry — superseded timers and deliveries to crashed processes included —
+once the clock has advanced to its time; a tuple entry becomes an
+:class:`~repro.sim.events.Event` only then, for the controller.  The
+controller may perturb the schedule within the paper's admissible-execution
+space:
 
-* ``("defer", extra)`` — postpone the delivery by ``extra`` time units
-  (extending a message delay is exactly what the eventually-synchronous
-  adversary is allowed to do; a deferred delivery whose effective delay
-  exceeds the bound ``U`` turns the run into a network-failure execution);
+* ``("defer", extra)`` — postpone the delivery by ``extra`` time units: the
+  event is re-pushed into the bucket ``extra`` later, behind everything
+  already queued there, exactly where a fresh heap ``seq`` would put it
+  (extending a message delay is what the eventually-synchronous adversary is
+  allowed to do; a deferred delivery whose effective delay exceeds the bound
+  ``U`` turns the run into a network-failure execution);
 * ``("crash", pid)`` — crash ``pid`` immediately, before the current event is
-  dispatched, provided the fault budget ``f`` is not exhausted.
+  dispatched, provided the fault budget ``f`` is not exhausted;
+* ``("recover", pid)`` — rejoin a crashed ``pid`` at the current time, before
+  the current event is dispatched.
 
 Timers, proposals and crashes cannot be reordered (they are local and fire on
 time in a synchronous system), so every controlled schedule remains an
@@ -101,10 +106,27 @@ from repro.sim.network import DelayModel, FixedDelay, Network
 from repro.env import Process
 from repro.sim.trace import TRACE_LEVELS, CounterTrace, MessageRecord, Trace
 
-#: event-queue selection knobs accepted by :class:`Scheduler`
-EVENT_QUEUES = ("auto", "heap", "bucket")
-
 ProcessFactory = Callable[[int, int, int, "SimEnv"], Process]
+
+
+def _as_event(time: float, priority: int, entry: Any) -> Event:
+    """The :class:`Event` a popped queue entry stands for (for controllers).
+
+    Hot tuples carry no ``seq`` (their FIFO position is their seq order), so
+    the built event's ``seq`` is 0; no controller reads it.
+    """
+    if entry.__class__ is not tuple:
+        return entry
+    if priority == PRIORITY_DELIVERY:
+        src, dst, payload, msg_id, send_time = entry
+        return MessageDeliveryEvent(
+            time=time, priority=priority, seq=0, src=src, dst=dst,
+            payload=payload, send_time=send_time, msg_id=msg_id,
+        )
+    pid, name, generation = entry
+    return TimerEvent(
+        time=time, priority=priority, seq=0, pid=pid, name=name, generation=generation
+    )
 
 
 class SimEnv:
@@ -146,7 +168,6 @@ class Scheduler:
         protocol_name: str = "",
         trace_level: str = "full",
         controller: Optional[Any] = None,
-        event_queue: str = "auto",
         delay_sampler: Optional[BatchedDelaySampler] = None,
     ):
         if n < 2:
@@ -156,16 +177,6 @@ class Scheduler:
         if trace_level not in TRACE_LEVELS:
             raise ConfigurationError(
                 f"unknown trace_level {trace_level!r}; expected one of {TRACE_LEVELS}"
-            )
-        if event_queue not in EVENT_QUEUES:
-            raise ConfigurationError(
-                f"unknown event_queue {event_queue!r}; expected one of {EVENT_QUEUES}"
-            )
-        if event_queue == "bucket" and controller is not None:
-            raise ConfigurationError(
-                "event_queue='bucket' cannot run under a schedule controller; "
-                "controllers defer and inspect Event objects, which requires "
-                "the heap queue (use event_queue='auto' or 'heap')"
             )
         self.n = n
         self.f = f
@@ -184,16 +195,9 @@ class Scheduler:
         self.trace = trace_cls(n=n, f=f, u=self.network.u, protocol=protocol_name)
         self.processes: Dict[int, Process] = {}
         self.envs: Dict[int, SimEnv] = {pid: SimEnv(self, pid) for pid in range(1, n + 1)}
-        self._heap: List[tuple] = []
-        use_bucket = event_queue == "bucket" or (
-            event_queue == "auto"
-            and controller is None
-            and getattr(self.network.delay_model, "bucketable", False)
-        )
-        self._bucketq: Optional[BucketQueue] = BucketQueue() if use_bucket else None
-        # batched sampling is orthogonal to the queue choice: bind the
-        # sampler (a per-cell object when the sweep engine passes one in)
-        # to this run's delay model; models that are not i.i.d. refuse
+        self._queue = BucketQueue()
+        # bind the sampler (a per-cell object when the sweep engine passes
+        # one in) to this run's delay model; models that are not i.i.d. refuse
         sampler = delay_sampler if delay_sampler is not None else BatchedDelaySampler()
         self._delay_sampler = sampler if sampler.bind(self.network.delay_model) else None
         self.network.attach_sampler(self._delay_sampler)
@@ -255,14 +259,11 @@ class Scheduler:
         return self._seq
 
     def _push(self, event: Event) -> None:
-        bucketq = self._bucketq
-        if bucketq is None:
-            heapq.heappush(self._heap, (event.sort_key(), event))
-        else:
-            # full Event objects ride the bucket FIFOs too (rare events, and
-            # any event pushed by a subclass); the loop dispatches them
-            # through _dispatch so overrides keep working
-            bucketq.push(event.time, event.priority, event)
+        # full Event objects ride the bucket FIFOs next to the hot tuples
+        # (rare events, deferred deliveries, and any event pushed by a
+        # subclass); the loop dispatches them through _dispatch so overrides
+        # keep working
+        self._queue.push(event.time, event.priority, event)
 
     def post_propose(self, pid: int, value: Any, at: float = 0.0) -> None:
         self._push(
@@ -308,33 +309,19 @@ class Scheduler:
         )
         if record is not None:  # the counters level keeps no records
             self._pending_records[msg_id] = record
-        bucketq = self._bucketq
-        if bucketq is None:
-            self._push(
-                MessageDeliveryEvent(
-                    time=recv_time,
-                    priority=PRIORITY_DELIVERY,
-                    seq=self._next_seq(),
-                    src=src,
-                    dst=dst,
-                    payload=payload,
-                    send_time=send_time,
-                    msg_id=msg_id,
-                )
-            )
-        else:
-            # deliveries are the hot event: a bare tuple in the priority-2
-            # FIFO carries everything dispatch needs (the bucket key is the
-            # receive time, FIFO position is the seq order), skipping the
-            # frozen-dataclass Event allocation entirely
-            bucket = bucketq.buckets.get(recv_time)
-            if bucket is None:
-                bucket = bucketq.buckets[recv_time] = [
-                    [], [], [], [], [], [0, 0, 0, 0, 0], 0,
-                ]
-                heapq.heappush(bucketq.times, recv_time)
-            bucket[PRIORITY_DELIVERY].append((src, dst, payload, msg_id))
-            bucket[6] += 1
+        # deliveries are the hot event: a bare tuple in the priority-2 FIFO
+        # carries everything dispatch (and a controller's defer) needs — the
+        # bucket key is the receive time, FIFO position is the seq order —
+        # skipping the frozen-dataclass Event allocation entirely
+        queue = self._queue
+        bucket = queue.buckets.get(recv_time)
+        if bucket is None:
+            bucket = queue.buckets[recv_time] = [
+                [], [], [], [], [], [0, 0, 0, 0, 0], 0,
+            ]
+            heapq.heappush(queue.times, recv_time)
+        bucket[PRIORITY_DELIVERY].append((src, dst, payload, msg_id, send_time))
+        bucket[6] += 1
 
     def set_timer(self, pid: int, at_units: float, name: str) -> None:
         """Arm (or re-arm) the named timer; re-arming supersedes the pending fire."""
@@ -342,30 +329,17 @@ class Scheduler:
         generation = self._timer_generation.get(key, 0) + 1
         self._timer_generation[key] = generation
         fire_time = max(self.clock.now, self.clock.units_to_time(at_units))
-        bucketq = self._bucketq
-        if bucketq is None:
-            self._push(
-                TimerEvent(
-                    time=fire_time,
-                    priority=PRIORITY_TIMER,
-                    seq=self._next_seq(),
-                    pid=pid,
-                    name=name,
-                    generation=generation,
-                    deadline_units=at_units,
-                )
-            )
-        else:
-            # timers ride the priority-3 FIFO as bare tuples; the fire time
-            # is the bucket key
-            bucket = bucketq.buckets.get(fire_time)
-            if bucket is None:
-                bucket = bucketq.buckets[fire_time] = [
-                    [], [], [], [], [], [0, 0, 0, 0, 0], 0,
-                ]
-                heapq.heappush(bucketq.times, fire_time)
-            bucket[PRIORITY_TIMER].append((pid, name, generation))
-            bucket[6] += 1
+        # timers ride the priority-3 FIFO as bare tuples; the fire time is
+        # the bucket key
+        queue = self._queue
+        bucket = queue.buckets.get(fire_time)
+        if bucket is None:
+            bucket = queue.buckets[fire_time] = [
+                [], [], [], [], [], [0, 0, 0, 0, 0], 0,
+            ]
+            heapq.heappush(queue.times, fire_time)
+        bucket[PRIORITY_TIMER].append((pid, name, generation))
+        bucket[6] += 1
 
     def cancel_timer(self, pid: int, name: str) -> None:
         key = (pid, name)
@@ -409,53 +383,23 @@ class Scheduler:
         )
 
     def run(self) -> Trace:
-        """Process events until the queue drains, max_time passes, or stop fires."""
-        if self._controller is not None and not self._controller_began:
+        """Process events until the queue drains, max_time passes, or stop fires.
+
+        Pops are inlined against the bucket structure, and the two hot event
+        kinds (deliveries, timers) arrive as bare tuples dispatched inline;
+        everything else is an Event dispatched through :meth:`_dispatch`, so
+        subclass overrides behave identically.  The max_time check peeks
+        before popping, so nothing past max_time is ever popped.
+        """
+        controller = self._controller
+        if controller is not None and not self._controller_began:
             self._controller_began = True
-            begin = getattr(self._controller, "begin", None)
+            begin = getattr(controller, "begin", None)
             if begin is not None:
                 begin(self)
-        if self._bucketq is not None:
-            self._run_bucket()
-        else:
-            self._run_heap()
-        self.trace.end_time = self.clock.time_to_units(self.clock.now)
-        return self.trace
-
-    def _run_heap(self) -> None:
-        """The reference loop over the binary heap."""
-        while self._heap:
-            _, event = heapq.heappop(self._heap)
-            if event.time > self.max_time:
-                break
-            if self._controller is not None:
-                event = self._consult_controller(event)
-                if event is None:  # deferred: re-queued at a later time
-                    continue
-            self.clock.advance_to(event.time)
-            self._dispatch(event)
-            if self._stopped:
-                break
-            if self._correct_pids is not None and self._undecided_correct == 0:
-                break
-            if self._stop_predicate is not None and self._stop_predicate(self):
-                break
-
-    def _run_bucket(self) -> None:
-        """The bucket-queue loop: same event order, inlined hot dispatch.
-
-        Pops are inlined against the bucket structure and the two hot event
-        kinds (deliveries, timers) arrive as bare tuples that never became
-        Event objects; everything else is a real Event dispatched through
-        :meth:`_dispatch` so subclass overrides behave identically.  The
-        max_time check peeks before popping where the heap pops then breaks
-        — observationally identical, since the heap's discarded event is
-        past max_time and never dispatched.  No controller ever runs here
-        (construction forbids it), so the consult step is simply absent.
-        """
-        bucketq = self._bucketq
-        times = bucketq.times
-        buckets = bucketq.buckets
+        queue = self._queue
+        times = queue.times
+        buckets = queue.buckets
         clock = self.clock
         max_time = self.max_time
         processes = self.processes
@@ -489,9 +433,13 @@ class Scheduler:
                 raise SimulationError(
                     f"clock cannot run backwards: {time} < {now}"
                 )
+            if controller is not None and not self._consult_controller(
+                _as_event(time, priority, entry)
+            ):
+                continue  # deferred: re-pushed into a later bucket
             if entry.__class__ is tuple:
                 if priority == PRIORITY_DELIVERY:
-                    src, dst, payload, msg_id = entry
+                    src, dst, payload, msg_id, _ = entry
                     record = pending.pop(msg_id, None) if pending else None
                     process = processes.get(dst)
                     if process is not None and not process.crashed:
@@ -516,6 +464,8 @@ class Scheduler:
                 break
             if self._stop_predicate is not None and self._stop_predicate(self):
                 break
+        trace.end_time = clock.time_to_units(clock.now)
+        return trace
 
     def stop(self) -> None:
         self._stopped = True
@@ -523,36 +473,37 @@ class Scheduler:
     # ------------------------------------------------------------------ #
     # schedule control (exploration subsystem; see module docstring)
     # ------------------------------------------------------------------ #
-    def _consult_controller(self, event: Event) -> Optional[Event]:
-        """Offer the next event to the controller; apply its decision.
+    def _consult_controller(self, event: Event) -> bool:
+        """Offer the popped event to the controller; apply its decision.
 
-        Returns the event to dispatch now, or ``None`` when the event was
-        deferred (it is back on the heap at a later time).  Inapplicable
-        decisions (deferring a timer, crashing past the budget) are ignored,
-        which keeps replay of a *shrunk* decision list well-defined.
+        Called once the clock has advanced to ``event.time``.  Returns True
+        when the event is to be dispatched now, False when it was deferred
+        (it is back on the queue at a later time).  Inapplicable decisions
+        (deferring a timer, crashing past the budget) are ignored, which
+        keeps replay of a *shrunk* decision list well-defined.
         """
         step = self._schedule_step
         self._schedule_step += 1
         action = self._controller.intercept(self, event, step)
         if not action:
-            return event
+            return True
         kind = action[0]
         if kind == "defer":
             extra = float(action[1])
             if self._defer_delivery(event, extra):
                 self.applied_schedule_actions.append((step, "defer", extra))
-                return None
-            return event
+                return False
+            return True
         if kind == "crash":
             pid = int(action[1])
-            if self.inject_crash(pid, at=event.time):
+            if self.inject_crash(pid):
                 self.applied_schedule_actions.append((step, "crash", pid))
-            return event
+            return True
         if kind == "recover":
             pid = int(action[1])
-            if self.inject_recovery(pid, at=event.time):
+            if self.inject_recovery(pid):
                 self.applied_schedule_actions.append((step, "recover", pid))
-            return event
+            return True
         raise ConfigurationError(f"unknown schedule action {action!r}")
 
     def _defer_delivery(self, event: Event, extra: float) -> bool:
@@ -569,7 +520,7 @@ class Scheduler:
             return False
         if extra <= 0:
             return False
-        new_time = max(self.clock.now, event.time) + extra
+        new_time = event.time + extra
         record = self._pending_records.get(event.msg_id)
         if record is not None:
             record.recv_time = new_time
@@ -590,7 +541,7 @@ class Scheduler:
             and pid not in self.fault_plan.crashes
         )
 
-    def inject_crash(self, pid: int, at: Optional[float] = None) -> bool:
+    def inject_crash(self, pid: int) -> bool:
         """Crash ``pid`` immediately (schedule-controller crash point).
 
         Unlike fault-plan crashes this happens *between* events: the process
@@ -605,8 +556,7 @@ class Scheduler:
         process = self.processes[pid]
         process.crashed = True
         process.on_crash()
-        crash_time = self.clock.now if at is None else max(self.clock.now, at)
-        self.trace.record_crash(pid, self.clock.time_to_units(crash_time))
+        self.trace.record_crash(pid, self.clock.time_to_units(self.clock.now))
         if self._correct_pids is not None and pid in self._correct_pids:
             self._correct_pids = self._correct_pids - {pid}
             if pid not in self.trace.decisions:
@@ -665,7 +615,7 @@ class Scheduler:
         replacement.on_recover()
         return True
 
-    def inject_recovery(self, pid: int, at: Optional[float] = None) -> bool:
+    def inject_recovery(self, pid: int) -> bool:
         """Schedule-controller recovery point (symmetric to inject_crash)."""
         if not self.can_inject_recovery(pid):
             return False
@@ -775,7 +725,6 @@ class Simulation:
         stop_when_all_correct_decided: bool = True,
         protocol_kwargs: Optional[Dict[str, Any]] = None,
         trace_level: str = "full",
-        event_queue: str = "auto",
     ):
         if (process_class is None) == (process_factory is None):
             raise ConfigurationError(
@@ -784,10 +733,6 @@ class Simulation:
         if trace_level not in TRACE_LEVELS:
             raise ConfigurationError(
                 f"unknown trace_level {trace_level!r}; expected one of {TRACE_LEVELS}"
-            )
-        if event_queue not in EVENT_QUEUES:
-            raise ConfigurationError(
-                f"unknown event_queue {event_queue!r}; expected one of {EVENT_QUEUES}"
             )
         self.n = n
         self.f = f
@@ -800,7 +745,6 @@ class Simulation:
         self._max_time = max_time
         self._stop_when_decided = stop_when_all_correct_decided
         self._trace_level = trace_level
-        self._event_queue = event_queue
         self._factory = self._make_factory()
         self._protocol_name = (
             process_class.__name__ if process_class is not None else "custom"
@@ -824,7 +768,6 @@ class Simulation:
         fault_plan: Optional[FaultPlan] = None,
         seed: Optional[int] = None,
         controller: Optional[Any] = None,
-        event_queue: Optional[str] = None,
         delay_sampler: Optional[BatchedDelaySampler] = None,
     ) -> SimulationResult:
         """Run one execution with the given per-process votes.
@@ -834,11 +777,10 @@ class Simulation:
         one ``Simulation`` per grid cell across per-trial-seeded models.
         ``controller`` attaches a schedule controller (see
         :mod:`repro.explore`) to this run; the applied schedule decisions
-        land in ``trace.metadata["schedule_decisions"]``.  ``event_queue``
-        overrides the constructor's queue choice for this run;
-        ``delay_sampler`` supplies a reusable
-        :class:`~repro.sim.batch.BatchedDelaySampler` (the sweep engine keeps
-        one per cell so its buffer survives across trials).
+        land in ``trace.metadata["schedule_decisions"]``.  ``delay_sampler``
+        supplies a reusable :class:`~repro.sim.batch.BatchedDelaySampler`
+        (the sweep engine keeps one per cell so its buffer survives across
+        trials).
         """
         if isinstance(votes, dict):
             vote_map = dict(votes)
@@ -859,10 +801,6 @@ class Simulation:
             protocol_name=self._protocol_name,
             trace_level=self._trace_level,
             controller=controller,
-            # a controller forces the heap even when the constructor asked
-            # for auto; an explicit "bucket" request with a controller is
-            # rejected by the Scheduler itself
-            event_queue=event_queue if event_queue is not None else self._event_queue,
             delay_sampler=delay_sampler,
         )
         scheduler.bind_processes(self._factory)

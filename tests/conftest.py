@@ -3,14 +3,36 @@
 from __future__ import annotations
 
 import signal
-from typing import Any, Dict, List, Optional, Sequence, Union
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 import pytest
 
+import repro.db.cluster
+import repro.sim.runner
 from repro.core.checker import check_nbac
 from repro.sim.faults import FaultPlan
 from repro.sim.network import DelayModel, FixedDelay
+from repro.sim.reference import HeapScheduler
 from repro.sim.runner import Simulation, SimulationResult
+
+
+@contextmanager
+def heap_oracle() -> Iterator[None]:
+    """Run every Simulation and sim-backend run_cluster on the heap reference.
+
+    Both drivers look ``Scheduler`` up by name in their own module, so the
+    swap patches each of those names and restores them on exit.
+    """
+    modules = (repro.sim.runner, repro.db.cluster)
+    saved = [module.Scheduler for module in modules]
+    for module in modules:
+        module.Scheduler = HeapScheduler
+    try:
+        yield
+    finally:
+        for module, scheduler in zip(modules, saved):
+            module.Scheduler = scheduler
 
 
 def run_protocol(

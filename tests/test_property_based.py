@@ -414,10 +414,10 @@ class TestPercentileDigests:
 
 
 # --------------------------------------------------------------------------- #
-# bucket queue vs binary heap
+# bucket queue vs the binary-heap reference
 # --------------------------------------------------------------------------- #
 class TestBucketQueueEquivalence:
-    """Random run configurations never distinguish the two event queues."""
+    """Random run configurations never distinguish the scheduler from the heap oracle."""
 
     @given(
         st.sampled_from(["fixed", "uniform", "lognormal", "flaky-link"]),
@@ -429,12 +429,12 @@ class TestBucketQueueEquivalence:
     def test_fingerprint_identical_on_bucket_and_heap(
         self, delay_name, fault_name, seed, votes
     ):
+        from conftest import heap_oracle
         from repro.exp.registry import NamedDelayFactory, NamedFaultFactory
         from repro.protocols import INBAC
         from repro.sim.runner import Simulation
 
-        fingerprints = []
-        for event_queue in ("heap", "bucket"):
+        def fingerprint():
             sim = Simulation(
                 n=4,
                 f=1,
@@ -442,7 +442,10 @@ class TestBucketQueueEquivalence:
                 delay_model=NamedDelayFactory(delay_name, {})(seed),
                 fault_plan=NamedFaultFactory(fault_name, {})(),
                 seed=seed,
-                event_queue=event_queue,
             )
-            fingerprints.append(sim.run(votes=votes).trace.fingerprint())
-        assert fingerprints[0] == fingerprints[1]
+            return sim.run(votes=votes).trace.fingerprint()
+
+        production = fingerprint()
+        with heap_oracle():
+            reference = fingerprint()
+        assert production == reference
